@@ -22,7 +22,6 @@ proves *total* correctness.
 from __future__ import annotations
 
 from ..traces.predicates import (
-    Epsilon,
     Exists,
     Guard,
     RepeatN,
@@ -92,17 +91,13 @@ def xchg_const(byte: int) -> TracePred:
 
 
 def spi_write_timeout() -> TracePred:
-    pred = Epsilon()
-    for _ in range(C.SPI_PATIENCE):
-        pred = pred + _tx_busy()
-    return pred
+    busy = _tx_busy()
+    return RepeatN(lambda env: C.SPI_PATIENCE, lambda i: busy)
 
 
 def spi_read_timeout() -> TracePred:
-    pred = Epsilon()
-    for _ in range(C.SPI_PATIENCE):
-        pred = pred + _rx_empty()
-    return pred
+    empty = _rx_empty()
+    return RepeatN(lambda env: C.SPI_PATIENCE, lambda i: empty)
 
 
 def xchg_fail(tx_fn) -> TracePred:
@@ -375,48 +370,21 @@ def device_fail() -> TracePred:
     status_ok = lan_readword(C.LAN_RX_STATUS_FIFO, _status_capture)
     fits = Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits buffer")
 
-    def drain_fail_body(i: int) -> TracePred:
-        return lan_readword(C.LAN_RX_DATA_FIFO, _accept)
+    read_fail = lan_readword_fail(C.LAN_RX_DATA_FIFO)
+    read_ok = lan_readword(C.LAN_RX_DATA_FIFO, _accept)
 
-    # A failing data read after k successful ones, k < ceil(len/4):
-    class _DrainFail(TracePred):
-        def residuals(self, trace, start, env):
-            count = (env["len"] + 3) >> 2
-            fail = lan_readword_fail(C.LAN_RX_DATA_FIFO)
-            states = [(start, env)]
-            for i in range(count):
-                for pos, env0 in states:
-                    yield from fail.residuals(trace, pos, env0)
-                next_states = []
-                for pos, env0 in states:
-                    next_states.extend(
-                        drain_fail_body(i).residuals(trace, pos, env0))
-                states = next_states
-                if not states:
-                    return
-
-        def partial(self, trace, start, env):
-            count = (env["len"] + 3) >> 2
-            fail = lan_readword_fail(C.LAN_RX_DATA_FIFO)
-            body = lan_readword(C.LAN_RX_DATA_FIFO, _accept)
-            states = [(start, env)]
-            for i in range(count):
-                for pos, env0 in states:
-                    if fail.partial(trace, pos, env0) or \
-                       body.partial(trace, pos, env0):
-                        return True
-                next_states = []
-                for pos, env0 in states:
-                    next_states.extend(body.residuals(trace, pos, env0))
-                states = next_states
-                if not states:
-                    return False
-            return False
+    def drain_fail(done: int) -> TracePred:
+        # A failing data read after ``done`` successful ones, while
+        # done < ceil(len/4); ``_drained`` counts the successful reads.
+        return seq(Guard(lambda env: done < (env["len"] + 3) >> 2,
+                         "drained %d" % done),
+                   union(read_fail, read_ok + Exists("_drained", (done + 1,),
+                                                     drain_fail)))
 
     return union(
         lan_readword_fail(C.LAN_RX_FIFO_INF),
         inf_ok + lan_readword_fail(C.LAN_RX_STATUS_FIFO),
-        inf_ok + status_ok + fits + _DrainFail(),
+        inf_ok + status_ok + fits + drain_fail(0),
     )
 
 

@@ -1,120 +1,128 @@
-"""Incremental prefix checking for head-plus-loop specifications.
+"""Streaming prefix checking: the end-to-end theorem at every cut.
 
-Both application specs have the shape the paper gives them::
+`TracePred.prefix_of` re-derives every parse of a trace from scratch.
+`OnlineChecker` decides the same relation for every prefix of a growing
+trace, one event at a time, by derivatives with environments (Brzozowski
+1964; Might, Darais & Spiewak, *Parsing with Derivatives*, ICFP 2011).
 
-    spec := Head +++ Body^*          -- BootSeq +++ Iteration^*
-
-`TracePred.prefix_of` re-derives every parse from scratch, which is
-O(total trace) per call and O(total^2) over a run -- fine for one machine
-checked at sixteen checkpoints, prohibitive for a fleet of machines each
-checked every few scheduling quanta. `OnlineChecker` exploits two facts
-about the predicate language to make repeated prefix checks on a
-*growing* trace cost O(new events) each:
-
-* residuals only ever consume events forward from their start position,
-  so a parse discovered at trace length n is still a parse at any longer
-  length -- anchors (positions where ``Head +++ Body^k`` has matched)
-  never need re-derivation;
-* ``partial(trace, pos, env)`` is monotone decreasing in the trace for a
-  fixed ``(pos, env)``: once an in-progress parse is dead it stays dead,
-  so exhausted anchors are retired permanently.
-
-The checker keeps the live anchor set; each `check` extends anchors
-through newly arrived events via ``Body.residuals`` and re-tests
-liveness only where the trace actually grew. The verdict is exactly
-``spec.prefix_of(trace)``: some anchor has consumed the whole trace, or
-some anchor's in-progress parse can still complete.
-
-Specs of any other shape fall back to the full `prefix_of` -- the class
-exists as an optimization, never a semantic fork (callers are expected
-to confirm a False verdict against the full predicate; see
-``repro.net.node``).
+It holds a deduplicated set of live configurations: a continuation (a
+linked stack of pending predicates and ``Star``/``RepeatN`` frames) plus
+the environment captured so far. An event expands each configuration
+through the zero-width nodes to the ``Step`` nodes that could consume it
+and runs each distinct ``Step.fn`` once. Guards run only when the next
+event arrives, which is ``partial``'s permissiveness at the end of a
+trace. After ``n > 0`` events the verdict is "the live set is non-empty";
+the empty trace is decided by ``partial`` itself, at constant cost.
+``Exists``/``RepeatN`` bodies are built once per (node, value), shared by
+every checker of one spec object. `tests/test_streaming_matcher.py` holds
+the verdicts equal to the residual engine, the trusted reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+import weakref
+from typing import Dict, List, Tuple
 
-from .predicates import Concat, Star, Trace, TracePred
+from .. import obs
+from .predicates import (Concat, Epsilon, Event, Exists, Guard, Never,
+                         RepeatN, Star, Step, Trace, TracePred, Union)
+
+_EVENTS_MATCHED = obs.counter("traces.events_matched")
+_LIVE_PEAK = obs.gauge("traces.live_peak")
+
+# Continuation frames: re-enter a ``Star`` after a body iteration, and
+# ``(_REPEAT, node, i, count)`` for iteration ``i`` of a ``RepeatN``.
+_LOOP, _REPEAT = "loop", "repeat"
+
+_BODIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-class _Anchor:
-    """One discovered parse position: ``trace[:pos]`` is in
-    ``Head +++ Body^k`` under the captured ``env``."""
-
-    __slots__ = ("pred", "pos", "env", "live")
-
-    def __init__(self, pred: TracePred, pos: int, env: dict):
-        self.pred = pred
-        self.pos = pos
-        self.env = env
-        self.live = True
-
-
-def _env_key(env: dict) -> Tuple:
-    return tuple(sorted(env.items()))
+def _body(node, value) -> TracePred:
+    bodies = _BODIES.setdefault(node, {})
+    if value not in bodies:
+        build = node.body if type(node) is Exists else node.body_fn
+        bodies[value] = build(value)
+    return bodies[value]
 
 
 class OnlineChecker:
-    """Incremental ``spec.prefix_of`` over a monotonically growing trace.
+    """``spec.prefix_of`` over a monotonically growing trace.
 
     ``check(trace)`` must be called with the same logical trace as before,
-    possibly extended (the fleet nodes pass the machine's live trace
-    list). Passing a shorter trace raises -- the incremental state would
-    be unsound for it.
+    possibly extended (fleet nodes pass the machine's live trace list).
+    Passing a shorter trace raises: its events are already consumed.
     """
 
     def __init__(self, spec: TracePred):
         self.spec = spec
-        self._fallback: Optional[TracePred] = None
-        self._checked_len = 0
-        if isinstance(spec, Concat) and isinstance(spec.second, Star):
-            head, self._body = spec.first, spec.second.body
-            self._anchors: List[_Anchor] = [_Anchor(head, 0, {})]
-            self._seen: Set[Tuple] = set()
-        else:
-            self._fallback = spec
-
-    @property
-    def incremental(self) -> bool:
-        return self._fallback is None
+        self._checked = 0
+        # After the spec comes Never: once it is complete, nothing follows.
+        self._live: List[Tuple[tuple, dict]] = [((spec, (Never(), None)), {})]
 
     def check(self, trace: Trace) -> bool:
-        """Equivalent to ``spec.prefix_of(trace)``; amortized cost is
-        proportional to the events added since the previous call."""
-        if len(trace) < self._checked_len:
+        """Equivalent to ``spec.prefix_of(trace)``; costs one matcher step
+        per event added since the previous call."""
+        n = len(trace)
+        if n < self._checked:
             raise ValueError("trace shrank: OnlineChecker requires a "
                              "monotonically growing trace")
-        self._checked_len = len(trace)
-        if self._fallback is not None:
-            return self._fallback.prefix_of(trace)
-        n = len(trace)
-        # Deepest anchors first: the frontier is almost always live, and a
-        # single live anchor already proves the prefix, so the early exit
-        # below usually makes one partial() call per check. Anchors left
-        # unvisited keep their (stale) liveness and are re-examined on the
-        # next call -- sound, because a True verdict never depends on them
-        # and a False verdict only falls out of visiting the whole queue.
-        queue = sorted((a for a in self._anchors if a.live),
-                       key=lambda a: a.pos)
-        while queue:
-            anchor = queue.pop()
-            for end, env in anchor.pred.residuals(trace, anchor.pos,
-                                                  anchor.env):
-                if anchor.pred is self._body and end <= anchor.pos:
-                    continue  # Star bodies must consume events
-                key = (end, _env_key(env))
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                fresh = _Anchor(self._body, end, env)
-                self._anchors.append(fresh)
-                queue.append(fresh)
-            # Monotonicity of `partial` makes this retirement permanent.
-            anchor.live = anchor.pred.partial(trace, anchor.pos, anchor.env)
-            if anchor.live:
-                return True
-        # A parse that consumed the whole trace is a prefix even with no
-        # live continuation (partial at pos == len is True, so this is
-        # only reachable when all anchors predate this length).
-        return any(a.pos == n for a in self._anchors)
+        if n > self._checked:
+            _EVENTS_MATCHED.inc(n - self._checked)
+            live, peak = self._live, _LIVE_PEAK.value
+            for index in range(self._checked, n):
+                live = _step(live, trace[index]) if live else live
+                peak = max(peak, len(live))
+            self._live, self._checked = live, n
+            _LIVE_PEAK.set(peak)
+        return bool(self._live) if n else self.spec.partial([], 0, {})
+
+
+def _step(live: List[Tuple[tuple, dict]], event: Event) -> list:
+    """The live set after ``event``."""
+    heads: Dict[tuple, tuple] = {}
+    fresh: Dict[int, tuple] = {}  # loop frames pushed for this event
+    stack = list(live)
+    while stack:
+        cont, env = stack.pop()
+        item, rest = cont
+        while type(item) is Concat:
+            item, rest = item.first, (item.second, rest)
+        kind = type(item)
+        if kind is Step:
+            heads.setdefault((item, rest, frozenset(env.items())),
+                             (item, rest, env))
+        elif kind is Union:
+            stack.extend(((arm, rest), env) for arm in item.arms)
+        elif kind is Star:
+            loop = ((_LOOP, item), rest)
+            fresh[id(loop)] = loop
+            stack += [(rest, env), ((item.body, loop), env)]
+        elif kind is tuple and item[0] is _LOOP:
+            # A body iteration must consume events: reaching its loop
+            # frame again before this event means it consumed none.
+            if id(cont) not in fresh:
+                stack.append(((item[1], rest), env))
+        elif kind is tuple:
+            _, node, i, count = item
+            stack.append((rest if i == count else (
+                _body(node, i), ((_REPEAT, node, i + 1, count), rest)), env))
+        elif kind is Exists:
+            stack.extend(((_body(item, value), rest),
+                          dict(env, **{item.name: value}))
+                         for value in item.domain)
+        elif kind is RepeatN:
+            stack.append((((_REPEAT, item, 0, item.count_fn(env)), rest),
+                          env))
+        elif kind is Epsilon:
+            stack.append((rest, env))
+        elif isinstance(item, Guard):  # subclasses may rebind the env
+            stack.extend((rest, env1)
+                         for _, env1 in item.residuals((), 0, env))
+        elif kind is not Never:
+            raise TypeError("cannot step %s" % kind.__name__)
+    out: Dict[tuple, tuple] = {}
+    for step, rest, env in heads.values():
+        env1 = step.fn(event, env)
+        if env1 is not None:
+            out.setdefault((rest, frozenset(env1.items())), (rest, env1))
+    return list(out.values())

@@ -86,9 +86,9 @@ def test_device_dies_mid_operation():
     assert SPEC.matches(trace)
 
 
-def test_recovery_after_transient_failure():
-    """The device comes back: failed iterations followed by a successful
-    command -- the spec's star accommodates interleaved arms."""
+def transient_failure_trace():
+    """A failed iteration, then the device comes back and a command
+    arrives. Returns the trace; the bulb must be on."""
     plat = make_platform()
     mem = Memory.from_regions([(0x100000, bytes(C.RX_BUFFER_BYTES))])
     state = State(mem, {"buf": 0x100000})
@@ -104,8 +104,13 @@ def test_recovery_after_transient_failure():
     for _ in range(3):
         interp.exec_cmd(call(("e",), "lightbulb_loop", var("buf")), state)
     assert plat.gpio.bulb_on
-    trace = to_mmio_triples(state.trace)
-    assert SPEC.matches(trace)
+    return to_mmio_triples(state.trace)
+
+
+def test_recovery_after_transient_failure():
+    """The device comes back: failed iterations followed by a successful
+    command -- the spec's star accommodates interleaved arms."""
+    assert SPEC.matches(transient_failure_trace())
 
 
 def test_boot_failure_on_machine_level():
