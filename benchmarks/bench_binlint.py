@@ -48,7 +48,8 @@ def _fuzz_layer_workload(seeds=range(4)):
     for seed in seeds:
         compiled = compile_program(generate_program(seed),
                                    stack_top=_STACK_TOP)
-        findings += lint_image(compiled.image, compiled.symbols, config)
+        findings += lint_image(compiled.image, compiled.symbols,
+                               config).findings
     return findings
 
 

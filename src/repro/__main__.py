@@ -122,10 +122,11 @@ def _parse_suppressions(specs):
     return frozenset(out)
 
 
-def _cmd_lint_binary(args) -> list:
-    """``lint --binary``: abstract-interpret + translation-validate the
-    compiled images of the shipped apps."""
-    from .analysis import BinaryLintConfig, lint_binary_program
+def _shipped_apps(which: str, suppress=frozenset()) -> list:
+    """(name, program, CompiledProgram, BinaryLintConfig) for the shipped
+    apps ``which`` selects ("lightbulb", "doorlock" or "all"), each
+    compiled once."""
+    from .analysis.binlint import BinaryLintConfig
     from .compiler import compile_program
     from .platform.bus import MMIO_RANGES
     from .sw.doorlock import doorlock_program
@@ -133,68 +134,60 @@ def _cmd_lint_binary(args) -> list:
     from .sw.verify import platform_mmio_spec
 
     apps = []
-    if args.app in ("lightbulb", "all"):
-        apps.append((lightbulb_program(),
+    if which in ("lightbulb", "all"):
+        apps.append(("lightbulb", lightbulb_program(),
                      compiled_lightbulb(stack_top=1 << 16)))
-    if args.app in ("doorlock", "all"):
+    if which in ("doorlock", "all"):
         program = doorlock_program()
-        apps.append((program, compile_program(program, entry="main",
-                                              stack_top=1 << 16)))
-    suppress = _parse_suppressions(args.suppress)
-    findings = []
-    for program, compiled in apps:
-        config = BinaryLintConfig.for_platform(
-            compiled.stack_top, MMIO_RANGES,
-            ext_spec=platform_mmio_spec(), suppress=suppress)
-        findings.extend(lint_binary_program(program, compiled, config))
-    return findings
+        apps.append(("doorlock", program,
+                     compile_program(program, entry="main",
+                                     stack_top=1 << 16)))
+    return [(name, program, compiled, BinaryLintConfig.for_platform(
+        compiled.stack_top, MMIO_RANGES, ext_spec=platform_mmio_spec(),
+        suppress=suppress)) for name, program, compiled in apps]
 
 
-def _timing_apps():
-    """(name, CompiledProgram) for the shipped apps, compile shared."""
-    from .compiler import compile_program
-    from .sw.doorlock import doorlock_program
-    from .sw.program import compiled_lightbulb
-
-    return [("lightbulb", compiled_lightbulb(stack_top=1 << 16)),
-            ("doorlock", compile_program(doorlock_program(), entry="main",
-                                         stack_top=1 << 16))]
-
-
-def _timing_report_for(compiled, loop_bounds, suppress=frozenset()):
-    from .analysis.binlint import BinaryLintConfig
+def _timing_report_for(compiled, loop_bounds, lint_config, analysis=None):
     from .analysis.wcet import TimingConfig, analyze_timing
     from .analysis.costmodel import pipeline_cost_model
-    from .platform.bus import MMIO_RANGES
 
     config = TimingConfig(
-        lint=BinaryLintConfig.for_platform(compiled.stack_top, MMIO_RANGES,
-                                           suppress=suppress),
+        lint=lint_config,
         model=pipeline_cost_model(strict=False),
         loop_bounds=loop_bounds)
-    return analyze_timing(compiled, config)
+    return analyze_timing(compiled, config, image_analysis=analysis)
 
 
-def _cmd_lint_timing(args) -> list:
-    """``lint --binary --timing``: prove WCET + stack bounds for the
-    shipped apps and hold them to the committed budgets (B2A2xx)."""
+def _cmd_lint_binary(args) -> list:
+    """``lint --binary``: abstract-interpret + translation-validate the
+    compiled images of the shipped apps. With ``--timing``, also prove
+    WCET + stack bounds from the same analysis and hold them to the
+    committed budgets (B2A2xx)."""
+    from .analysis.binlint import analyze_image, lint_binary_program
     from .analysis.wcet import check_budgets, drift_findings, load_budgets
 
     suppress = _parse_suppressions(args.suppress)
-    loop_bounds, app_budgets = load_budgets(args.budgets)
-    findings = list(drift_findings())
-    for name, compiled in _timing_apps():
-        if args.app not in (name, "all"):
-            continue
-        report = _timing_report_for(compiled, loop_bounds, suppress)
-        findings.extend(report.findings)
-        findings.extend(check_budgets(report, app_budgets.get(name, {})))
+    findings: list = []
+    timing: list = []
+    if args.timing:
+        loop_bounds, app_budgets = load_budgets(args.budgets)
+        timing.extend(drift_findings())
+    for name, program, compiled, config in _shipped_apps(args.app,
+                                                         suppress):
+        analysis = analyze_image(compiled.image, compiled.symbols, config)
+        findings.extend(lint_binary_program(program, compiled, config,
+                                            analysis=analysis))
+        if args.timing:
+            report = _timing_report_for(compiled, loop_bounds, config,
+                                        analysis)
+            timing.extend(report.findings)
+            timing.extend(check_budgets(report, app_budgets.get(name, {})))
 
     def keep(diag) -> bool:
         return (diag.code not in suppress
                 and (diag.code, diag.function) not in suppress)
 
-    return [d for d in findings if keep(d)]
+    return findings + [d for d in timing if keep(d)]
 
 
 def cmd_lint(args) -> int:
@@ -214,8 +207,6 @@ def cmd_lint(args) -> int:
         return 2
     if args.binary:
         findings = _cmd_lint_binary(args)
-        if args.timing:
-            findings.extend(_cmd_lint_timing(args))
         if args.format == "json":
             print(render_json(findings))
         else:
@@ -527,8 +518,8 @@ def cmd_wcet(args) -> int:
            "drift": [d.render() for d in drift_findings()],
            "tightness": None}
     failed = bool(doc["drift"])
-    for name, compiled in _timing_apps():
-        report = _timing_report_for(compiled, loop_bounds)
+    for name, _, compiled, config in _shipped_apps("all"):
+        report = _timing_report_for(compiled, loop_bounds, config)
         budget = app_budgets.get(name, {})
         over = check_budgets(report, budget)
         failed = failed or bool(report.findings) or bool(over)

@@ -35,9 +35,9 @@ never the reverse -- vcgen receives the prescreener by injection):
 
 from .binlint import (  # noqa: F401
     BinaryLintConfig,
+    ImageAnalysis,
     analyze_image,
     lint_binary_program,
-    lint_compiled,
     lint_image,
     translation_validate,
 )

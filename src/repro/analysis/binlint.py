@@ -300,6 +300,127 @@ class FunctionAnalysis:
     findings: List[Diagnostic] = field(default_factory=list)
 
 
+# ---------------------------------------------------------------------------
+# The transfer: one instruction (or one block) from in-state to out-state.
+# Pure; the fixpoint and wcet both step through it, and the checks read
+# the states it produces.
+
+
+def transfer(pc: int, instr: Instr, state: BinState) -> BinState:
+    """The abstract semantics of the instruction at ``pc``."""
+    name = instr.name
+    regs = state.regs
+    if name in R_TYPE:
+        return _with_reg(state, instr.rd or 0,
+                         _rop(name, regs[instr.rs1 or 0],
+                              regs[instr.rs2 or 0]))
+    if name in I_ARITH:
+        a = regs[instr.rs1 or 0]
+        imm = _const(instr.imm or 0)
+        if name == "addi":
+            val = _aval_add(a, imm)
+        else:
+            val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
+                                    imm.word))
+        return _with_reg(state, instr.rd or 0, val)
+    if name in I_SHIFT:
+        val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name],
+                                _plain(regs[instr.rs1 or 0]),
+                                AbstractWord.const(instr.imm or 0)))
+        return _with_reg(state, instr.rd or 0, val)
+    if name == "lui":
+        return _with_reg(state, instr.rd or 0,
+                         _const(((instr.imm or 0) << 12) & MASK))
+    if name == "auipc":
+        return _with_reg(state, instr.rd or 0,
+                         _const((pc + ((instr.imm or 0) << 12)) & MASK))
+    if name in LOAD_SIZES or name in STORE_SIZES:
+        return _transfer_access(instr, _address(state, instr), state)
+    if name in ("jal", "jalr"):
+        return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
+    return state  # branches write nothing
+
+
+def transfer_block(cfg: BinaryCFG, block: BasicBlock,
+                   state: BinState) -> BinState:
+    """The state after ``block``: every instruction's transfer, then, for
+    a call, what the callee may have changed."""
+    for pc, instr in block.instrs:
+        state = transfer(pc, instr, state)
+    if block.kind != "call":
+        return state
+    if block.target not in cfg.entries:
+        # Unknown callee: trust nothing (the terminator check has
+        # already flagged it).
+        regs = tuple(_const(0) if r == 0 else _top() for r in range(32))
+        return BinState(regs=regs, slots={}, defined=frozenset(range(32)))
+    callee_regs = list(state.regs)
+    for r in ARG_REGS + SCRATCH_REGS:
+        callee_regs[r] = _top()
+    defined = (state.defined | set(ARG_REGS)) - set(SCRATCH_REGS)
+    return BinState(regs=tuple(callee_regs), slots=state.slots,
+                    defined=frozenset(defined))
+
+
+def _rop(name: str, a: AVal, b: AVal) -> AVal:
+    if name == "add":
+        return _aval_add(a, b)
+    if name == "sub":
+        return _aval_sub(a, b)
+    op = _R_TO_BEDROCK.get(name)
+    if op is None:  # mulh, mulhsu, div, rem
+        return _top()
+    return AVal(None, _binop(op, _plain(a), _plain(b)))
+
+
+def _address(state: BinState, instr: Instr) -> AVal:
+    """The abstract effective address of a load or store."""
+    return _aval_add(state.regs[instr.rs1 or 0], _const(instr.imm or 0))
+
+
+def _load(name: str, addr: AVal, state: BinState) -> AVal:
+    if addr.base == SP and LOAD_SIZES[name] == 4 and addr.word.is_const() \
+            and addr.word.lo % 4 == 0:
+        slot = state.slots.get(_signed(addr.word.lo))
+        if slot is not None:
+            return slot
+    if name == "lbu":
+        return AVal(None, AbstractWord(0, 0xFF))
+    if name == "lhu":
+        return AVal(None, AbstractWord(0, 0xFFFF))
+    return _top()
+
+
+def _transfer_access(instr: Instr, addr: AVal,
+                     state: BinState) -> BinState:
+    """A load or store at the abstract address ``addr``."""
+    name = instr.name
+    if name in LOAD_SIZES:
+        return _with_reg(state, instr.rd or 0, _load(name, addr, state))
+    if addr.base != SP:
+        # Non-sp-based stores never alias the frame (see module
+        # docstring); slots survive.
+        return state
+    size = STORE_SIZES[name]
+    slots = dict(state.slots)
+    if addr.word.is_const():
+        off = _signed(addr.word.lo)
+        if size == 4 and off % 4 == 0:
+            slots[off] = state.regs[instr.rs2 or 0]
+        else:
+            for k in list(slots):
+                if k < off + size and off < k + 4:
+                    del slots[k]
+    else:
+        slots.clear()
+    return BinState(regs=state.regs, slots=slots,
+                    defined=state.defined)
+
+
+# ---------------------------------------------------------------------------
+# Per-function analysis: the fixpoint, then the checks over its states
+
+
 class _FunctionAnalyzer:
     def __init__(self, cfg: BinaryCFG, fn: BinFunction,
                  config: BinaryLintConfig):
@@ -307,7 +428,6 @@ class _FunctionAnalyzer:
         self.fn = fn
         self.config = config
         self.result = FunctionAnalysis(function=fn)
-        self._checking = False
         self._reported: Set[Tuple[str, object]] = set()
 
     # -- driving --------------------------------------------------------
@@ -316,7 +436,6 @@ class _FunctionAnalyzer:
         dom = _BinDomain()
         block_states = run_cfg(self.fn.entry, _entry_state(),
                                self._transfer, dom)
-        self._checking = True
         for start in sorted(self.fn.blocks):
             block = self.fn.blocks[start]
             state = block_states.get(start)
@@ -328,27 +447,23 @@ class _FunctionAnalyzer:
                         self.result.stores.append(
                             (pc, instr, AbstractWord.top()))
                 continue
-            self._transfer(start, state)
+            for pc, instr in block.instrs:
+                self.result.states[pc] = state
+                addr = self._check(pc, instr, state)
+                state = (transfer(pc, instr, state) if addr is None
+                         else _transfer_access(instr, addr, state))
+            self._check_terminator(block, state)
         return self.result
 
     def _transfer(self, start: int, state: BinState
                   ) -> Dict[int, BinState]:
         block = self.fn.blocks[start]
-        for pc, instr in block.instrs[:-1]:
-            state = self._step(pc, instr, state)
-        pc, term = block.instrs[-1]
-        state = self._step(pc, term, state)
-        if self._checking:
-            self._check_terminator(block, state)
+        state = transfer_block(self.cfg, block, state)
         kind = block.kind
-        if kind == "fall":
-            return {succ: state for succ in block.succs}
         if kind == "branch":
+            pc, term = block.terminator
             return self._branch_out(block, pc, term, state)
-        if kind == "jump":
-            return {succ: state for succ in block.succs}
-        if kind == "call":
-            state = self._apply_call(block, state)
+        if kind in ("fall", "jump", "call"):
             return {succ: state for succ in block.succs}
         return {}  # return / indirect
 
@@ -356,8 +471,6 @@ class _FunctionAnalyzer:
 
     def _report(self, code: str, pc: int, instr: Optional[Instr],
                 message: str, key: object = None) -> None:
-        if not self._checking:
-            return
         dedup = (code, key if key is not None else pc)
         if dedup in self._reported:
             return
@@ -369,12 +482,12 @@ class _FunctionAnalyzer:
             code=code, function=self.fn.name,
             message="%s: %s" % (at, message)))
 
-    # -- instruction transfer -------------------------------------------
+    # -- per-instruction checks -----------------------------------------
 
     def _read(self, state: BinState, r: Optional[int], pc: int,
               instr: Instr, exempt: bool = False) -> AVal:
         assert r is not None
-        if self._checking and not exempt and r not in state.defined:
+        if not exempt and r not in state.defined:
             self._report(
                 "B2A107", pc, instr,
                 "reads %s, which is not written on every path to here "
@@ -382,74 +495,42 @@ class _FunctionAnalyzer:
                 key=("read", r))
         return state.regs[r]
 
-    def _step(self, pc: int, instr: Instr, state: BinState) -> BinState:
-        if self._checking:
-            self.result.states[pc] = state
+    def _check(self, pc: int, instr: Instr,
+               state: BinState) -> Optional[AVal]:
+        """Check one reachable instruction against its stabilized
+        in-state, and record its store fact for TV. Returns the address
+        of a load or store (so the walk need not compute it again)."""
         name = instr.name
-        if name in R_TYPE:
-            a = self._read(state, instr.rs1, pc, instr)
-            b = self._read(state, instr.rs2, pc, instr)
-            return _with_reg(state, instr.rd or 0, self._rop(name, a, b))
-        if name in I_ARITH:
-            a = self._read(state, instr.rs1, pc, instr)
-            imm = _const(instr.imm or 0)
-            if name == "addi":
-                val = _aval_add(a, imm)
-            else:
-                val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
-                                        imm.word))
-            return _with_reg(state, instr.rd or 0, val)
-        if name in I_SHIFT:
-            a = self._read(state, instr.rs1, pc, instr)
-            val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name], _plain(a),
-                                    AbstractWord.const(instr.imm or 0)))
-            return _with_reg(state, instr.rd or 0, val)
-        if name == "lui":
-            return _with_reg(state, instr.rd or 0,
-                             _const(((instr.imm or 0) << 12) & MASK))
-        if name == "auipc":
-            return _with_reg(state, instr.rd or 0,
-                             _const((pc + ((instr.imm or 0) << 12)) & MASK))
-        if name in LOAD_SIZES:
-            addr = _aval_add(self._read(state, instr.rs1, pc, instr),
-                             _const(instr.imm or 0))
-            val = self._load(pc, instr, addr, state)
-            return _with_reg(state, instr.rd or 0, val)
-        if name in STORE_SIZES:
-            addr = _aval_add(self._read(state, instr.rs1, pc, instr),
-                             _const(instr.imm or 0))
+        if name in R_TYPE or name in B_TYPE:
+            self._read(state, instr.rs1, pc, instr)
+            self._read(state, instr.rs2, pc, instr)
+        elif name in I_ARITH or name in I_SHIFT or name == "jalr":
+            self._read(state, instr.rs1, pc, instr)
+        elif name in LOAD_SIZES:
+            self._read(state, instr.rs1, pc, instr)
+            addr = _address(state, instr)
+            self._classify(pc, instr, addr, LOAD_SIZES[name], state)
+            return addr
+        elif name in STORE_SIZES:
+            self._read(state, instr.rs1, pc, instr)
+            addr = _address(state, instr)
             # A prologue save reads a callee-saved register precisely to
             # preserve it; only flag non-frame stores as reads.
             value = self._read(state, instr.rs2, pc, instr,
                                exempt=addr.base == SP)
-            return self._store(pc, instr, addr, value, state)
-        if name in B_TYPE:
-            self._read(state, instr.rs1, pc, instr)
-            self._read(state, instr.rs2, pc, instr)
-            return state
-        if name == "jal":
-            return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-        if name == "jalr":
-            self._read(state, instr.rs1, pc, instr)
-            return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-        return state
-
-    def _rop(self, name: str, a: AVal, b: AVal) -> AVal:
-        if name == "add":
-            return _aval_add(a, b)
-        if name == "sub":
-            return _aval_sub(a, b)
-        op = _R_TO_BEDROCK.get(name)
-        if op is None:  # mulh, mulhsu, div, rem
-            return _top()
-        return AVal(None, _binop(op, _plain(a), _plain(b)))
+            self._classify(pc, instr, addr, STORE_SIZES[name], state)
+            if instr.rs1 != SP:
+                self.result.stores.append((pc, instr, _plain(value)))
+            return addr
+        return None
 
     # -- memory classification ------------------------------------------
 
     def _classify(self, pc: int, instr: Instr, addr: AVal, size: int,
-                  state: BinState) -> str:
-        """\"stack\" | \"pointer\" | \"ram\" | \"mmio\" | \"bad\", reporting
-        B2A102/B2A103/B2A105 along the way (when checking)."""
+                  state: BinState) -> None:
+        """Classify an access as stack, caller pointer, owned RAM or
+        MMIO, reporting B2A102/B2A103/B2A105 when it is none of these
+        or is badly shaped."""
         if addr.base == SP:
             off = addr.word
             self._check_below_sp(pc, instr, off, state)
@@ -457,10 +538,10 @@ class _FunctionAnalyzer:
                 self._report("B2A103", pc, instr,
                              "provably misaligned %d-byte stack access"
                              % size)
-            return "stack"
+            return
         if addr.base is not None:
             # Caller-provided pointer: the caller's obligation.
-            return "pointer"
+            return
         w = addr.word
         ram_lo, ram_hi = self.config.ram
         if ram_lo <= w.lo and w.hi < ram_hi:
@@ -468,31 +549,27 @@ class _FunctionAnalyzer:
                 self._report("B2A103", pc, instr,
                              "provably misaligned %d-byte RAM access"
                              % size)
-                return "bad"
-            return "ram"
+            return
         for lo, hi in self.config.mmio_ranges:
             if lo <= w.lo and w.hi < hi:
                 if size != 4:
                     self._report("B2A103", pc, instr,
                                  "MMIO access is not word-sized "
                                  "(%d bytes)" % size)
-                    return "bad"
-                if (w.bits.known_zeros() & 3) != 3:
+                elif (w.bits.known_zeros() & 3) != 3:
                     self._report("B2A103", pc, instr,
                                  "MMIO access not provably word-aligned "
                                  "(abstract address [0x%x, 0x%x])"
                                  % (w.lo, w.hi))
-                    return "bad"
-                return "mmio"
+                return
         if self._disjoint_from_map(w):
             self._report("B2A103", pc, instr,
                          "access outside the platform address map "
                          "(abstract address [0x%x, 0x%x])" % (w.lo, w.hi))
-            return "bad"
+            return
         self._report("B2A102", pc, instr,
                      "cannot classify access as owned RAM vs MMIO "
                      "(abstract address [0x%x, 0x%x])" % (w.lo, w.hi))
-        return "bad"
 
     def _disjoint_from_map(self, w: AbstractWord) -> bool:
         regions = (self.config.ram,) + self.config.mmio_ranges
@@ -510,45 +587,6 @@ class _FunctionAnalyzer:
                 "access at sp%+d is provably below the stack pointer "
                 "(sp = entry sp%+d)"
                 % (_signed(off.lo), _signed(sp_val.word.lo)))
-
-    def _load(self, pc: int, instr: Instr, addr: AVal,
-              state: BinState) -> AVal:
-        size = LOAD_SIZES[instr.name]
-        kind = self._classify(pc, instr, addr, size, state)
-        if kind == "stack" and size == 4 and addr.word.is_const() \
-                and addr.word.lo % 4 == 0:
-            slot = state.slots.get(_signed(addr.word.lo))
-            if slot is not None:
-                return slot
-        if instr.name == "lbu":
-            return AVal(None, AbstractWord(0, 0xFF))
-        if instr.name == "lhu":
-            return AVal(None, AbstractWord(0, 0xFFFF))
-        return _top()
-
-    def _store(self, pc: int, instr: Instr, addr: AVal, value: AVal,
-               state: BinState) -> BinState:
-        size = STORE_SIZES[instr.name]
-        kind = self._classify(pc, instr, addr, size, state)
-        if self._checking and instr.rs1 != SP:
-            self.result.stores.append((pc, instr, _plain(value)))
-        if kind != "stack":
-            # Non-sp-based stores never alias the frame (see module
-            # docstring); slots survive.
-            return state
-        slots = dict(state.slots)
-        if addr.word.is_const():
-            off = _signed(addr.word.lo)
-            if size == 4 and off % 4 == 0:
-                slots[off] = value
-            else:
-                for k in list(slots):
-                    if k < off + size and off < k + 4:
-                        del slots[k]
-        else:
-            slots.clear()
-        return BinState(regs=state.regs, slots=slots,
-                        defined=state.defined)
 
     # -- control flow ---------------------------------------------------
 
@@ -637,24 +675,6 @@ class _FunctionAnalyzer:
             return _with_reg(state, r, AVal(
                 None, AbstractWord(1, max(v.word.hi, 1), v.word.bits)))
         return state
-
-    def _apply_call(self, block: BasicBlock,
-                    state: BinState) -> BinState:
-        target = block.target
-        if target not in self.cfg.entries:
-            # Unknown callee: trust nothing (the terminator check has
-            # already flagged it).
-            regs = tuple(_const(0) if r == 0 else _top() for r in range(32))
-            return BinState(regs=regs, slots={},
-                            defined=frozenset(range(32)))
-        regs = list(state.regs)
-        for r in ARG_REGS:
-            regs[r] = _top()
-        for r in SCRATCH_REGS:
-            regs[r] = _top()
-        defined = (state.defined | set(ARG_REGS)) - set(SCRATCH_REGS)
-        return BinState(regs=tuple(regs), slots=state.slots,
-                        defined=frozenset(defined))
 
     # -- terminator / return checks -------------------------------------
 
@@ -749,35 +769,39 @@ class _Compiled(Protocol):
     symbols: Dict[str, int]
 
 
+@dataclass
+class ImageAnalysis:
+    """One abstract interpretation of an image: the recovered CFG, each
+    function's fixpoint, and the findings the config does not suppress
+    (in function order). WCET and translation validation reuse it."""
+
+    cfg: BinaryCFG
+    functions: Dict[str, FunctionAnalysis]
+    findings: List[Diagnostic]
+
+
 def analyze_image(image: bytes, symbols: Mapping[str, int],
-                  config: BinaryLintConfig
-                  ) -> Dict[str, FunctionAnalysis]:
+                  config: BinaryLintConfig) -> ImageAnalysis:
     """Run the abstract interpreter over every function in the image."""
     cfg = recover_cfg(image, symbols)
-    results: Dict[str, FunctionAnalysis] = {}
+    functions: Dict[str, FunctionAnalysis] = {}
     for name, fn in cfg.functions.items():
         if not fn.blocks:
             continue
-        results[name] = _FunctionAnalyzer(cfg, fn, config).run()
+        functions[name] = _FunctionAnalyzer(cfg, fn, config).run()
         _FUNCTIONS.inc()
-    return results
+    findings = [d for analysis in functions.values()
+                for d in analysis.findings if not config.suppressed(d)]
+    return ImageAnalysis(cfg=cfg, functions=functions, findings=findings)
 
 
 def lint_image(image: bytes, symbols: Mapping[str, int],
-               config: BinaryLintConfig) -> List[Diagnostic]:
-    """Lint an encoded image; returns (unsuppressed) findings."""
-    out: List[Diagnostic] = []
-    for analysis in analyze_image(image, symbols, config).values():
-        out.extend(d for d in analysis.findings
-                   if not config.suppressed(d))
-    _FINDINGS.inc(len(out))
-    return out
-
-
-def lint_compiled(compiled: "_Compiled",
-                  config: BinaryLintConfig) -> List[Diagnostic]:
-    """Lint a `CompiledProgram`'s image."""
-    return lint_image(compiled.image, compiled.symbols, config)
+               config: BinaryLintConfig) -> ImageAnalysis:
+    """Lint an encoded image: its analysis, whose ``findings`` are the
+    verdict (counted here)."""
+    analysis = analyze_image(image, symbols, config)
+    _FINDINGS.inc(len(analysis.findings))
+    return analysis
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +848,7 @@ def _compatible(src: AbstractWord, binv: AbstractWord) -> bool:
 
 def translation_validate(program: object, compiled: "_Compiled",
                          config: BinaryLintConfig,
-                         frame_sizes: Optional[Mapping[str, int]] = None,
-                         analyses: Optional[
-                             Dict[str, FunctionAnalysis]] = None
+                         analysis: Optional[ImageAnalysis] = None
                          ) -> List[Diagnostic]:
     """Compare binary-derived store facts against source-derived ones.
 
@@ -840,19 +862,18 @@ def translation_validate(program: object, compiled: "_Compiled",
     from ..compiler.flatten import flatten_program
 
     flat = flatten_program(program)
-    if analyses is None:
-        analyses = analyze_image(compiled.image, compiled.symbols, config)
-    if frame_sizes is None:
-        frame_sizes = getattr(compiled, "frame_sizes", {}) or {}
+    if analysis is None:
+        analysis = analyze_image(compiled.image, compiled.symbols, config)
+    frame_sizes = getattr(compiled, "frame_sizes", {}) or {}
     findings: List[Diagnostic] = []
     for fname, ffn in flat.items():
-        analysis = analyses.get("func." + fname)
-        if analysis is None:
+        fn_analysis = analysis.functions.get("func." + fname)
+        if fn_analysis is None:
             continue
         if frame_sizes.get(fname, 0) >= _NEAR_FRAME_LIMIT:
             continue  # far-path frame addressing; see module docstring
         src = _source_store_facts(ffn.body)
-        binf = analysis.stores
+        binf = fn_analysis.stores
         if len(src) != len(binf):
             findings.append(Diagnostic(
                 code="B2A108", function="func." + fname,
@@ -882,19 +903,17 @@ def translation_validate(program: object, compiled: "_Compiled",
 
 def lint_binary_program(program: object, compiled: "_Compiled",
                         config: BinaryLintConfig,
-                        translation: bool = True) -> List[Diagnostic]:
-    """The full binary lint: abstract-interpretation checks plus (when
-    ``translation``) translation validation against the source."""
-    analyses = analyze_image(compiled.image, compiled.symbols, config)
-    out: List[Diagnostic] = []
-    for analysis in analyses.values():
-        out.extend(d for d in analysis.findings
-                   if not config.suppressed(d))
-    _FINDINGS.inc(len(out))
-    if translation:
-        out.extend(translation_validate(program, compiled, config,
-                                        analyses=analyses))
-    return out
+                        analysis: Optional[ImageAnalysis] = None
+                        ) -> List[Diagnostic]:
+    """The full binary lint: abstract-interpretation checks plus
+    translation validation against the source. ``analysis``, when
+    given, is `analyze_image` of the compiled image under an equal
+    config."""
+    if analysis is None:
+        analysis = analyze_image(compiled.image, compiled.symbols, config)
+    _FINDINGS.inc(len(analysis.findings))
+    return analysis.findings + translation_validate(
+        program, compiled, config, analysis=analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -942,11 +961,13 @@ __all__ = [
     "BinState",
     "BinaryLintConfig",
     "FunctionAnalysis",
+    "ImageAnalysis",
     "analyze_image",
     "aval_contains",
     "lint_binary_program",
-    "lint_compiled",
     "lint_image",
     "state_contains",
+    "transfer",
+    "transfer_block",
     "translation_validate",
 ]

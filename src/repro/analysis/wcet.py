@@ -7,7 +7,11 @@ pipeline-rule firings, the repo's cycle currency -- see
 from nothing but the compiled image and its symbol table.
 
 The analysis is classic aiT-style abstract-interpretation WCET, sized
-for this compiler's output:
+for this compiler's output. It runs no interval interpreter of its own:
+every interval fact below is binlint's -- the stabilized states of
+`repro.analysis.binlint.analyze_image` (one CFG recovery and one
+fixpoint per image, shared with the lint when the caller passes it in)
+pushed through blocks by binlint's own `transfer`/`transfer_block`.
 
 1. **Loop bounds.**  Natural loops are found via dominators.  The eDSL
    only emits fuel-counter loops -- ``i := K; while i { ...; i := i - 1 }``
@@ -51,12 +55,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 from .. import obs
 from ..riscv.insts import I_ARITH, I_SHIFT, R_TYPE, Instr
 from .binlint import (ARG_REGS, LOAD_SIZES, SCRATCH_REGS, STORE_SIZES,
-                      AVal, BinState, BinaryLintConfig, FunctionAnalysis,
-                      _aval_add, _aval_sub, _binop, _const, _plain, _signed,
-                      _top, _with_reg, _I_TO_BEDROCK, _R_TO_BEDROCK,
-                      _SHIFT_TO_BEDROCK, analyze_image)
-from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph, \
-    recover_cfg
+                      BinaryLintConfig, FunctionAnalysis, ImageAnalysis,
+                      _binop, _plain, _signed, _I_TO_BEDROCK, _R_TO_BEDROCK,
+                      _SHIFT_TO_BEDROCK, analyze_image, transfer,
+                      transfer_block)
+from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph
 from .costmodel import CostModel, check_pipeline_drift, pipeline_cost_model
 from .domains import MASK, AbstractWord
 from .lint import Diagnostic
@@ -299,104 +302,9 @@ def _is_spin(fn: BinFunction, loop: _Loop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interval mini-interpreter (sound re-application of binlint's transfer,
-# used to push stabilized in-states to a block's exit)
-
-
-def _step_plain(pc: int, instr: Instr, state: BinState) -> BinState:
-    name = instr.name
-    if name in R_TYPE:
-        a, b = state.regs[instr.rs1 or 0], state.regs[instr.rs2 or 0]
-        if name == "add":
-            val = _aval_add(a, b)
-        elif name == "sub":
-            val = _aval_sub(a, b)
-        else:
-            op = _R_TO_BEDROCK.get(name)
-            val = (_top() if op is None
-                   else AVal(None, _binop(op, _plain(a), _plain(b))))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in I_ARITH:
-        a = state.regs[instr.rs1 or 0]
-        imm = _const(instr.imm or 0)
-        if name == "addi":
-            val = _aval_add(a, imm)
-        else:
-            val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
-                                    imm.word))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in I_SHIFT:
-        a = state.regs[instr.rs1 or 0]
-        val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name], _plain(a),
-                                AbstractWord.const(instr.imm or 0)))
-        return _with_reg(state, instr.rd or 0, val)
-    if name == "lui":
-        return _with_reg(state, instr.rd or 0,
-                         _const(((instr.imm or 0) << 12) & MASK))
-    if name == "auipc":
-        return _with_reg(state, instr.rd or 0,
-                         _const((pc + ((instr.imm or 0) << 12)) & MASK))
-    if name in LOAD_SIZES:
-        addr = _aval_add(state.regs[instr.rs1 or 0],
-                         _const(instr.imm or 0))
-        val = _top()
-        if (addr.base == SP and LOAD_SIZES[name] == 4
-                and addr.word.is_const() and addr.word.lo % 4 == 0):
-            val = state.slots.get(_signed(addr.word.lo), _top())
-        elif name == "lbu":
-            val = AVal(None, AbstractWord(0, 0xFF))
-        elif name == "lhu":
-            val = AVal(None, AbstractWord(0, 0xFFFF))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in STORE_SIZES:
-        addr = _aval_add(state.regs[instr.rs1 or 0],
-                         _const(instr.imm or 0))
-        if addr.base != SP:
-            # Non-sp stores never alias the frame (binlint's checked
-            # store discipline); slots survive.
-            return state
-        slots = dict(state.slots)
-        size = STORE_SIZES[name]
-        if addr.word.is_const():
-            off = _signed(addr.word.lo)
-            if size == 4 and off % 4 == 0:
-                slots[off] = state.regs[instr.rs2 or 0]
-            else:
-                for k in list(slots):
-                    if k < off + size and off < k + 4:
-                        del slots[k]
-        else:
-            slots.clear()
-        return BinState(regs=state.regs, slots=slots,
-                        defined=state.defined)
-    if name in ("jal", "jalr"):
-        return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-    return state  # branches write nothing
-
-
-def _havoc_call(state: BinState) -> BinState:
-    regs = list(state.regs)
-    for r in ARG_REGS + SCRATCH_REGS:
-        regs[r] = _top()
-    return BinState(regs=tuple(regs), slots=state.slots,
-                    defined=state.defined)
-
-
-def _block_out(analysis: FunctionAnalysis,
-               block: BasicBlock) -> Optional[BinState]:
-    """The stabilized state *after* a block, from the recorded in-states."""
-    state = analysis.states.get(block.instrs[0][0])
-    if state is None:
-        return None
-    for pc, instr in block.instrs:
-        state = _step_plain(pc, instr, state)
-    if block.kind == "call":
-        state = _havoc_call(state)
-    return state
-
-
-# ---------------------------------------------------------------------------
-# Affine symbolic walk: decrement proofs along back-edge paths
+# Affine symbolic walk: decrement proofs along back-edge paths.  Not
+# binlint's transfer: values are relative to the loop-header entry, and
+# frame slots read as lazily-named bases binlint's domain does not have.
 
 #: Affine values: ``("c", k)`` is the constant k; ``("a", base, k)`` is
 #: the loop-header-entry value of ``base`` (a register number or
@@ -501,7 +409,8 @@ def _aff_step(st: _AffState, pc: int, instr: Instr) -> None:
                     if k < off + size and off < k + 4:
                         st.slots[k] = None
                 st.hazy = True
-        # Non-sp stores never alias the frame (see _step_plain).
+        # Non-sp stores never alias the frame (binlint's checked store
+        # discipline).
     elif name == "jal":
         write(instr.rd, ("c", (pc + 4) & MASK))
     # branches and jalr terminators are handled by the walker
@@ -598,7 +507,7 @@ def _exit_test(fn: BinFunction, loop: _Loop,
     return rt, in_succs[0]
 
 
-def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
+def _entry_bound(cfg: BinaryCFG, fn: BinFunction, loop: _Loop, rt: int,
                  analysis: FunctionAnalysis,
                  preds: Dict[int, Set[int]],
                  config: TimingConfig) -> Optional[int]:
@@ -610,12 +519,13 @@ def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
     if not preheaders:
         return None
     for p in preheaders:
-        state = _block_out(analysis, fn.blocks[p])
+        state = analysis.states.get(p)
         if state is None:
             continue  # unreachable preheader constrains nothing
+        state = transfer_block(cfg, fn.blocks[p], state)
         header = fn.blocks[loop.header]
         for pc, instr in header.instrs[:-1]:
-            state = _step_plain(pc, instr, state)
+            state = transfer(pc, instr, state)
         w = _plain(state.regs[rt])
         if w.hi > config.max_inferred_bound:
             return None
@@ -799,8 +709,8 @@ class _FunctionWcet:
         if test is None:
             return None, UNBOUNDED
         rt, body = test
-        bound = _entry_bound(self.fn, loop, rt, self.analysis, self.preds,
-                             self.config)
+        bound = _entry_bound(self.cfg, self.fn, loop, rt, self.analysis,
+                             self.preds, self.config)
         if bound is None:
             return None, UNBOUNDED
         if bound == 0:
@@ -1093,22 +1003,28 @@ def _topo_functions(graph: Mapping[str, Set[str]],
 
 def analyze_timing(compiled: object,
                    config: Optional[TimingConfig] = None,
-                   icache_words: Optional[int] = None) -> TimingReport:
+                   icache_words: Optional[int] = None,
+                   image_analysis: Optional[ImageAnalysis] = None
+                   ) -> TimingReport:
     """Prove WCET and stack bounds for a compiled program.
 
     ``compiled`` is any `repro.compiler.CompiledProgram`-shaped object
     (``image``, ``symbols``, ``stack_top``; ``stack_bound`` is used for
-    the compiler cross-check when present).
+    the compiler cross-check when present). ``image_analysis``, when
+    given, is binlint's `analyze_image` of that image under a config
+    equal to ``config.lint``; otherwise it is computed here.
     """
     image: bytes = compiled.image  # type: ignore[attr-defined]
-    symbols: Mapping[str, int] = compiled.symbols  # type: ignore[attr-defined]
     stack_top: int = compiled.stack_top  # type: ignore[attr-defined]
     if config is None:
         config = TimingConfig(lint=BinaryLintConfig(ram=(0, stack_top)),
                               model=pipeline_cost_model())
+    if image_analysis is None:
+        image_analysis = analyze_image(
+            image, compiled.symbols,  # type: ignore[attr-defined]
+            config.lint)
     findings: List[Diagnostic] = []
-    cfg = recover_cfg(image, symbols)
-    analyses = analyze_image(image, symbols, config.lint)
+    cfg = image_analysis.cfg
     graph = call_graph(cfg)
     order = _topo_functions(graph, findings, config)
 
@@ -1116,12 +1032,11 @@ def analyze_timing(compiled: object,
     results: Dict[str, FunctionTiming] = {}
     frames: Dict[str, Optional[int]] = {}
     for name in order:
-        analysis = analyses.get(name)
-        fn = cfg.functions.get(name)
-        if analysis is None or fn is None or not fn.blocks:
+        analysis = image_analysis.functions.get(name)
+        if analysis is None:
             continue
-        timing = _FunctionWcet(fn, analysis, cfg, config, done,
-                               findings).run()
+        timing = _FunctionWcet(analysis.function, analysis, cfg, config,
+                               done, findings).run()
         frames[name] = _frame_bytes(analysis, stack_top)
         timing.frame_bytes = frames[name]
         results[name] = timing

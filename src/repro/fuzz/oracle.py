@@ -194,20 +194,28 @@ def _run_smallstep(program: Program) -> LayerOutcome:
                         trace=to_mmio_triples(state.trace))
 
 
-def _binlint_findings(compiled):
-    """The static layer: abstract-interpretation lint of the compiled
-    image against the oracle's memory map (owned RAM below the stack
-    top, the synthetic device as the only MMIO range). Imported lazily
-    so execution-only layer subsets never pay for the analysis import."""
-    from ..analysis.binlint import BinaryLintConfig, lint_image
+def _binlint_config():
+    """The oracle's memory map: owned RAM below the stack top, the
+    synthetic device as the only MMIO range."""
+    from ..analysis.binlint import BinaryLintConfig
 
-    config = BinaryLintConfig.for_platform(
+    return BinaryLintConfig.for_platform(
         _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),))
-    return lint_image(compiled.image, compiled.symbols, config)
 
 
-def _wcet_prove(compiled) -> Tuple[Optional[dict], Optional[str]]:
-    """The second static layer: prove WCET and stack bounds.
+def _binlint_analysis(compiled):
+    """The static layer: abstract-interpretation lint of the compiled
+    image; its ``findings`` are the verdict and the wcet layer reuses
+    the analysis. Imported lazily so execution-only layer subsets never
+    pay for the analysis import."""
+    from ..analysis.binlint import lint_image
+
+    return lint_image(compiled.image, compiled.symbols, _binlint_config())
+
+
+def _wcet_prove(compiled, analysis) -> Tuple[Optional[dict], Optional[str]]:
+    """The second static layer: prove WCET and stack bounds, from the
+    binlint layer's ``analysis`` (None when that layer did not run).
 
     Returns ``({"static_cycles": fill + wcet, "stack_bound": bytes},
     None)`` on success or ``(None, detail)`` when the analyzer cannot
@@ -215,20 +223,18 @@ def _wcet_prove(compiled) -> Tuple[Optional[dict], Optional[str]]:
     construction, so an unproved bound is an analyzer bug and diverges
     like any other kill.  Analyzer *crashes* (possible on mutated
     binaries with mangled control flow) are reported the same way, not
-    raised.  Lazy imports, mirroring `_binlint_findings`.
+    raised.  Lazy imports, mirroring `_binlint_analysis`.
     """
-    from ..analysis.binlint import BinaryLintConfig
     from ..analysis.costmodel import pipeline_cost_model
     from ..analysis.wcet import TimingConfig, analyze_timing
 
     icache_words = len(compiled.image) // 4 + 4
     try:
-        config = TimingConfig(
-            lint=BinaryLintConfig.for_platform(
-                _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),)),
-            model=pipeline_cost_model())
+        config = TimingConfig(lint=_binlint_config(),
+                              model=pipeline_cost_model())
         report = analyze_timing(compiled, config,
-                                icache_words=icache_words)
+                                icache_words=icache_words,
+                                image_analysis=analysis)
     except Exception as exc:  # mutated image: analyzer must not crash out
         return None, "analyzer error: %s: %s" % (type(exc).__name__, exc)
     if report.findings:
@@ -431,9 +437,11 @@ def run_differential(program: Program,
                          "detail": "image overlaps scratch (%d bytes)"
                          % len(compiled.image)})
 
+    analysis = None
     if "binlint" in layers:
         result["layers"].append("binlint")
-        findings = _timed("binlint", lambda: _binlint_findings(compiled))
+        analysis = _timed("binlint", lambda: _binlint_analysis(compiled))
+        findings = analysis.findings
         if findings:
             shown = "; ".join(d.render() for d in findings[:3])
             if len(findings) > 3:
@@ -444,11 +452,12 @@ def run_differential(program: Program,
     bounds: Optional[dict] = None
     if "wcet" in layers:
         result["layers"].append("wcet")
-        bounds, why = _timed("wcet", lambda: _wcet_prove(compiled))
+        bounds, why = _timed("wcet", lambda: _wcet_prove(compiled, analysis))
         if bounds is None:
             return diverged({"layer": "wcet", "kind": "static",
                              "detail": why or "unbounded"})
         result["wcet"] = dict(bounds)
+    analysis = None  # the execution layers need none of its states
 
     def stack_overrun(machine, layer: str) -> Optional[dict]:
         """Watermark vs proved bound: `sp_min` is the lowest value ever

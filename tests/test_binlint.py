@@ -21,7 +21,6 @@ from repro.analysis.binlint import (
     BinaryLintConfig,
     analyze_image,
     lint_binary_program,
-    lint_compiled,
     lint_image,
     state_contains,
     translation_validate,
@@ -56,7 +55,7 @@ def _config(**kwargs):
 
 def _lint(instrs, symbols=None):
     image = encode_program(instrs)
-    return lint_image(image, symbols or {"func.f": 0}, _config())
+    return lint_image(image, symbols or {"func.f": 0}, _config()).findings
 
 
 def _codes(findings):
@@ -173,10 +172,10 @@ def test_suppressions():
     instrs = [I.i_type("addi", 18, 0, 5), RET]
     image = encode_program(instrs)
     assert lint_image(image, {"func.f": 0},
-                      _config(suppress=frozenset({"B2A106"}))) == []
+                      _config(suppress=frozenset({"B2A106"}))).findings == []
     assert lint_image(image, {"func.f": 0},
-                      _config(suppress=frozenset({("B2A106", "func.f")}))) \
-        == []
+                      _config(suppress=frozenset({("B2A106", "func.f")}))
+                      ).findings == []
 
 
 def test_for_platform_cross_checks_extspec():
@@ -300,7 +299,8 @@ def test_jalr_mutation_visible_only_statically():
     program = generate_program(0)
     with mutation_context("encode-jalr-imm-plus1"):
         compiled = compile_program(program, stack_top=STACK_TOP)
-    findings = lint_compiled(compiled, _fuzz_config())
+    findings = lint_image(compiled.image, compiled.symbols,
+                          _fuzz_config()).findings
     assert "B2A101" in _codes(findings)
 
 
@@ -308,7 +308,8 @@ def test_callee_save_mutation_visible_only_statically():
     program = generate_program(0)
     with mutation_context("regalloc-drop-callee-save"):
         compiled = compile_program(program, stack_top=STACK_TOP)
-    findings = lint_compiled(compiled, _fuzz_config())
+    findings = lint_image(compiled.image, compiled.symbols,
+                          _fuzz_config()).findings
     assert "B2A106" in _codes(findings)
 
 
@@ -330,9 +331,9 @@ def _check_soundness(program, context=""):
     """Single-step the ISA machine; at every pc, the fixpoint's abstract
     in-state must contain the concrete register file and spilled slots."""
     compiled = compile_program(program, stack_top=STACK_TOP)
-    analyses = analyze_image(compiled.image, compiled.symbols,
-                             _fuzz_config())
-    cfg = recover_cfg(compiled.image, compiled.symbols)
+    image_analysis = analyze_image(compiled.image, compiled.symbols,
+                                   _fuzz_config())
+    analyses, cfg = image_analysis.functions, image_analysis.cfg
     machine = RiscvMachine.with_program(
         compiled.image, base=0, pc=0, mem_size=STACK_TOP,
         mmio_bus=SyntheticDevice(), fast=False)

@@ -128,6 +128,37 @@ def test_shipped_app_proves_within_budgets(app):
     assert report.stack_bound <= budget["stack_bytes"]
 
 
+#: The proved shipped-app bounds, pinned exactly: a precision change
+#: (tighter or looser) must show up here, not only against the budget
+#: ceilings. Loop rows are (function, ordinal) -> (bound, source).
+_SHIPPED_LOOPS = {
+    ("_start", 0): (None, "spin"),
+    ("func.lan9250_drain", 0): (380, "annotated"),
+    ("func.lan9250_init", 0): (64, "inferred"),
+    ("func.lan9250_wait_for_boot", 0): (64, "inferred"),
+    ("func.main", 0): (None, "server"),
+    ("func.spi_read", 0): (64, "inferred"),
+    ("func.spi_write", 0): (64, "inferred"),
+}
+_SHIPPED_TIMING = {
+    "lightbulb": (11353580, 33014643, 2240, {
+        **_SHIPPED_LOOPS, ("func.lightbulb_service", 0): (None, "unbounded")}),
+    "doorlock": (11353580, 33014799, 2272, {
+        **_SHIPPED_LOOPS, ("func.doorlock_service", 0): (None, "unbounded")}),
+}
+
+
+@pytest.mark.parametrize("app", ["lightbulb", "doorlock"])
+def test_shipped_app_timing_pinned(app):
+    report, _, _ = _app_report(app)
+    startup, iteration, stack, loops = _SHIPPED_TIMING[app]
+    assert report.startup_cycles == startup
+    assert report.iteration_cycles == iteration
+    assert report.stack_bound == stack
+    assert {(fn.name, lp.ordinal): (lp.bound, lp.source)
+            for fn in report.functions.values() for lp in fn.loops} == loops
+
+
 def test_lightbulb_drain_loop_uses_annotation():
     """The LAN9250 drain loop is data-dependent (bounded by the RX fifo,
     not a fuel counter); it must be priced from the committed flow fact,
@@ -254,6 +285,64 @@ def test_bounds_sound_against_measured_execution():
         assert wcet["static_cycles"] < 4 * wcet["measured_cycles"], seed
         checked += 1
     assert checked == 6
+
+
+def _count_analyses(monkeypatch):
+    """Count CFG recoveries (in every namespace that binds
+    `recover_cfg`) and functions binlint analyzes from here on."""
+    from repro import analysis
+    from repro.analysis import binlint, cfg, wcet
+    from repro.obs import counter
+
+    real = cfg.recover_cfg
+    recoveries = []
+
+    def counting(*args, **kwargs):
+        recoveries.append(args)
+        return real(*args, **kwargs)
+
+    for module in (analysis, binlint, cfg, wcet):
+        if hasattr(module, "recover_cfg"):
+            monkeypatch.setattr(module, "recover_cfg", counting)
+    functions = counter("analysis.binlint_functions")
+    start = functions.value
+    return recoveries, lambda: functions.value - start, real
+
+
+def _analyzable_functions(real_recover_cfg, compiled):
+    functions = real_recover_cfg(compiled.image, compiled.symbols).functions
+    return sum(1 for fn in functions.values() if fn.blocks)
+
+
+def test_one_analysis_per_fuzz_program(monkeypatch):
+    """The oracle's binlint and wcet layers share one CFG recovery and
+    one fixpoint per program."""
+    from repro.fuzz.oracle import _STACK_TOP, run_differential
+
+    program = generate_program(0)
+    recoveries, analyzed, real = _count_analyses(monkeypatch)
+    result = run_differential(program, layers=("interp", "binlint", "wcet"))
+    assert result["status"] == "ok", result
+    assert result["layers"] == ["interp", "binlint", "wcet"]
+    assert len(recoveries) == 1
+    compiled = compile_program(program, stack_top=_STACK_TOP)
+    assert analyzed() == _analyzable_functions(real, compiled)
+
+
+def test_one_analysis_per_app_in_lint_binary_timing(monkeypatch, capsys):
+    """``lint --binary --timing`` lints, validates and times each
+    shipped app from one CFG recovery and one fixpoint."""
+    from repro.__main__ import main
+
+    recoveries, analyzed, real = _count_analyses(monkeypatch)
+    assert main(["lint", "--binary", "--timing", "--budgets",
+                 BUDGETS_PATH]) == 0
+    assert "no findings" in capsys.readouterr().out
+    apps = [compiled_lightbulb(stack_top=STACK_TOP),
+            compile_program(doorlock_program(), entry="main",
+                            stack_top=STACK_TOP)]
+    assert [args[0] for args in recoveries] == [c.image for c in apps]
+    assert analyzed() == sum(_analyzable_functions(real, c) for c in apps)
 
 
 def test_stack_watermark_reference_and_fast_agree():
